@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race chaos obs spec cluster whatif provision cover cover-spec bench bench-json bench-json-pr10 bench-compare fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
+.PHONY: all build vet fmt-check test test-race race chaos obs spec cluster whatif provision cover cover-spec bench bench-json bench-json-pr10 bench-compare fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
 
 all: build vet test
 
@@ -11,6 +11,7 @@ help:
 	@echo "  all        build + vet + test"
 	@echo "  build      go build ./..."
 	@echo "  vet        go vet ./..."
+	@echo "  fmt-check  fail if gofmt -l . lists any file"
 	@echo "  test       go test ./..."
 	@echo "  test-race  go test -race ./... — the concurrency gate for the"
 	@echo "             parallel cross-examination engine and sharded simulator"
@@ -58,6 +59,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the tree.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 # vet gates test so a vet regression can never ride in on a green test run.
 test: vet

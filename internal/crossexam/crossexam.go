@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"time"
 
@@ -119,6 +120,7 @@ func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.P
 		return nil, fmt.Errorf("crossexam: n must be positive, got %d", n)
 	}
 	modal := modalPhasesByClass(orig)
+	origCols, origLat := extractColumns(orig), meanLatencies(orig)
 	out := make([]Scores, len(approaches))
 	err := par.Do(len(approaches), opts.Workers, func(i int) error {
 		a := approaches[i]
@@ -145,9 +147,10 @@ func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.P
 		if elapsed > 0 && !opts.SkipThroughput {
 			s.Scalability = float64(n) / elapsed
 		}
-		s.RequestFeatures = featureScore(orig, synth)
+		synthCols := extractColumns(synth)
+		s.RequestFeatures = featureScore(origCols, synthCols)
 		s.TimeDependencies = timeDepScore(synth, modal)
-		s.FineGranularity = granularityScore(orig, synth)
+		s.FineGranularity = granularityScore(origCols, synthCols)
 		timed := synth
 		if !a.SelfTimed {
 			timed, err = replay.Run(synth, platform)
@@ -155,9 +158,10 @@ func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.P
 				return fmt.Errorf("crossexam: %s replay: %w", a.Name, err)
 			}
 		}
-		s.LatencyFidelity = latencyScore(orig, timed)
+		timedLat := meanLatencies(timed)
+		s.LatencyFidelity = latencyScore(origLat, timedLat)
 		s.Completeness = geoMean3(s.RequestFeatures, s.TimeDependencies, s.LatencyFidelity)
-		s.TwinDeviation = twinDeviation(a.Twin, timed)
+		s.TwinDeviation = twinDeviation(a.Twin, timedLat.all)
 		out[i] = s
 		return nil
 	})
@@ -167,23 +171,58 @@ func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.P
 	return out, nil
 }
 
+// numFeatures is the number of pooled subsystem feature columns.
+const numFeatures = 5
+
+// columns holds the feature columns a trace is scored on, each sorted
+// ascending: the pooled subsystem features — storage sizes, storage LBNs,
+// memory sizes, CPU utilizations and network sizes — and the storage I/O
+// sizes of each class present, with the classes in first-seen order.
+type columns struct {
+	pooled  [numFeatures][]float64
+	classes []string
+	byClass map[string][]float64
+}
+
+// extractColumns walks tr's spans once to fill its columns.
+func extractColumns(tr *trace.Trace) *columns {
+	c := &columns{byClass: make(map[string][]float64)}
+	for _, r := range tr.Requests {
+		sizes, seen := c.byClass[r.Class]
+		if !seen {
+			c.classes = append(c.classes, r.Class)
+		}
+		for _, s := range r.Spans {
+			switch s.Subsystem {
+			case trace.Storage:
+				c.pooled[0] = append(c.pooled[0], float64(s.Bytes))
+				c.pooled[1] = append(c.pooled[1], float64(s.LBN))
+				sizes = append(sizes, float64(s.Bytes))
+			case trace.Memory:
+				c.pooled[2] = append(c.pooled[2], float64(s.Bytes))
+			case trace.CPU:
+				c.pooled[3] = append(c.pooled[3], s.Util)
+			case trace.Network:
+				c.pooled[4] = append(c.pooled[4], float64(s.Bytes))
+			}
+		}
+		c.byClass[r.Class] = sizes
+	}
+	for _, col := range c.pooled {
+		sort.Float64s(col)
+	}
+	for _, col := range c.byClass {
+		sort.Float64s(col)
+	}
+	return c
+}
+
 // featureScore is 1 - mean KS over the pooled subsystem feature
 // distributions.
-func featureScore(orig, synth *trace.Trace) float64 {
-	features := []struct {
-		sub trace.Subsystem
-		f   func(trace.Span) float64
-	}{
-		{trace.Storage, func(s trace.Span) float64 { return float64(s.Bytes) }},
-		{trace.Storage, func(s trace.Span) float64 { return float64(s.LBN) }},
-		{trace.Memory, func(s trace.Span) float64 { return float64(s.Bytes) }},
-		{trace.CPU, func(s trace.Span) float64 { return s.Util }},
-		{trace.Network, func(s trace.Span) float64 { return float64(s.Bytes) }},
-	}
+func featureScore(orig, synth *columns) float64 {
 	var total float64
-	for _, ft := range features {
-		o := orig.SpanFeature(ft.sub, ft.f)
-		sy := synth.SpanFeature(ft.sub, ft.f)
+	for f, o := range orig.pooled {
+		sy := synth.pooled[f]
 		if len(o) == 0 {
 			continue
 		}
@@ -191,34 +230,25 @@ func featureScore(orig, synth *trace.Trace) float64 {
 			total += 1 // feature entirely missing
 			continue
 		}
-		total += stats.KSTest2(o, sy).Statistic
+		total += stats.KSTest2Sorted(o, sy).Statistic
 	}
-	return clamp01(1 - total/float64(5))
+	return clamp01(1 - total/float64(numFeatures))
 }
 
 // modalPhasesByClass returns each class's most common phase sequence.
 func modalPhasesByClass(tr *trace.Trace) map[string][]trace.Subsystem {
-	out := make(map[string][]trace.Subsystem)
-	counts := make(map[string]map[string]int)
-	seqs := make(map[string]map[string][]trace.Subsystem)
+	paths := make(map[string]*trace.PathCounter)
 	for _, r := range tr.Requests {
-		p := r.Phases()
-		key := fmt.Sprint(p)
-		if counts[r.Class] == nil {
-			counts[r.Class] = make(map[string]int)
-			seqs[r.Class] = make(map[string][]trace.Subsystem)
+		c := paths[r.Class]
+		if c == nil {
+			c = &trace.PathCounter{}
+			paths[r.Class] = c
 		}
-		counts[r.Class][key]++
-		seqs[r.Class][key] = p
+		c.Add(r)
 	}
-	for class, m := range counts {
-		bestKey, bestN := "", -1
-		for k, n := range m {
-			if n > bestN || (n == bestN && k < bestKey) {
-				bestKey, bestN = k, n
-			}
-		}
-		out[class] = seqs[class][bestKey]
+	out := make(map[string][]trace.Subsystem, len(paths))
+	for class, c := range paths {
+		out[class] = c.Ranked()[0].Phases
 	}
 	return out
 }
@@ -270,21 +300,17 @@ func phasesEqual(a, b []trace.Subsystem) bool {
 // granularityScore is 1 - mean per-class KS on storage I/O sizes: can the
 // model reproduce a *specific* class's subsystem behavior (fine-tuning a
 // model to a part of the system)?
-func granularityScore(orig, synth *trace.Trace) float64 {
-	classes := orig.Classes()
-	if len(classes) == 0 {
+func granularityScore(orig, synth *columns) float64 {
+	if len(orig.classes) == 0 {
 		return 0
 	}
 	var total float64
-	for _, class := range classes {
-		o := orig.ByClass(class).SpanFeature(trace.Storage, func(s trace.Span) float64 { return float64(s.Bytes) })
-		sClass := synth.ByClass(class)
-		var sy []float64
-		if sClass.Len() > 0 {
-			sy = sClass.SpanFeature(trace.Storage, func(s trace.Span) float64 { return float64(s.Bytes) })
-		} else {
+	for _, class := range orig.classes {
+		o := orig.byClass[class]
+		sy, ok := synth.byClass[class]
+		if !ok {
 			// Class-blind model: only its pooled stream is available.
-			sy = synth.SpanFeature(trace.Storage, func(s trace.Span) float64 { return float64(s.Bytes) })
+			sy = synth.pooled[0]
 		}
 		if len(o) == 0 {
 			continue
@@ -293,24 +319,51 @@ func granularityScore(orig, synth *trace.Trace) float64 {
 			total += 1
 			continue
 		}
-		total += stats.KSTest2(o, sy).Statistic
+		total += stats.KSTest2Sorted(o, sy).Statistic
 	}
-	return clamp01(1 - total/float64(len(classes)))
+	return clamp01(1 - total/float64(len(orig.classes)))
+}
+
+// latencies holds a trace's mean request latency per class present, with
+// the classes in first-seen order, and over all its requests.
+type latencies struct {
+	classes []string
+	byClass map[string]float64
+	all     float64
+}
+
+// meanLatencies walks tr once. Each mean sums its latencies in request
+// order, as stats.Mean over the class's sub-trace would.
+func meanLatencies(tr *trace.Trace) *latencies {
+	m := &latencies{byClass: make(map[string]float64)}
+	counts := make(map[string]int)
+	for _, r := range tr.Requests {
+		l := r.Latency()
+		if _, seen := counts[r.Class]; !seen {
+			m.classes = append(m.classes, r.Class)
+		}
+		m.byClass[r.Class] += l
+		counts[r.Class]++
+		m.all += l
+	}
+	for class, n := range counts {
+		m.byClass[class] /= float64(n)
+	}
+	if len(tr.Requests) > 0 {
+		m.all /= float64(len(tr.Requests))
+	}
+	return m
 }
 
 // latencyScore is 1 - mean per-class relative error of mean latency.
-func latencyScore(orig, timed *trace.Trace) float64 {
-	classes := orig.Classes()
+func latencyScore(orig, timed *latencies) float64 {
 	var total float64
 	var counted int
-	for _, class := range classes {
-		o := stats.Mean(orig.ByClass(class).Latencies())
-		sClass := timed.ByClass(class)
-		var s float64
-		if sClass.Len() > 0 {
-			s = stats.Mean(sClass.Latencies())
-		} else {
-			s = stats.Mean(timed.Latencies())
+	for _, class := range orig.classes {
+		o := orig.byClass[class]
+		s, ok := timed.byClass[class]
+		if !ok {
+			s = timed.all
 		}
 		if o == 0 {
 			continue
@@ -330,7 +383,7 @@ func latencyScore(orig, timed *trace.Trace) float64 {
 // the simulator actually produced is the score. -1 marks "no twin to
 // compare" (nil twin, saturated operating point, or a degenerate
 // discrete-event result) and renders as n/a.
-func twinDeviation(tw *twin.Twin, timed *trace.Trace) float64 {
+func twinDeviation(tw *twin.Twin, des float64) float64 {
 	if tw == nil {
 		return -1
 	}
@@ -338,7 +391,6 @@ func twinDeviation(tw *twin.Twin, timed *trace.Trace) float64 {
 	if err != nil || !ans.Stable {
 		return -1
 	}
-	des := stats.Mean(timed.Latencies())
 	if des <= 0 {
 		return -1
 	}

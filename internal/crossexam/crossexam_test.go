@@ -289,3 +289,33 @@ func TestRender(t *testing.T) {
 		}
 	}
 }
+
+// TestModalPhasesTieBreakBySprintOrder pins the equal-count tie-break of
+// modalPhasesByClass: the path whose fmt.Sprint rendering sorts first
+// wins, even where ordering by the subsystems' numeric values would pick
+// the other path.
+func TestModalPhasesTieBreakBySprintOrder(t *testing.T) {
+	nc := []trace.Subsystem{trace.Network, trace.CPU}
+	cn := []trace.Subsystem{trace.CPU, trace.Network}
+	c := []trace.Subsystem{trace.CPU}
+	tr := &trace.Trace{}
+	add := func(class string, paths ...[]trace.Subsystem) {
+		for i := 0; i < 3; i++ {
+			for _, p := range paths {
+				r := trace.Request{ID: int64(tr.Len()), Class: class}
+				for _, sub := range p {
+					r.Spans = append(r.Spans, trace.Span{Subsystem: sub})
+				}
+				tr.Requests = append(tr.Requests, r)
+			}
+		}
+	}
+	add("swapped", nc, cn) // "[cpu network]" < "[network cpu]"
+	add("prefix", c, cn)   // "[cpu network]" < "[cpu]"
+	modal := modalPhasesByClass(tr)
+	for _, class := range []string{"swapped", "prefix"} {
+		if got := modal[class]; !phasesEqual(got, cn) {
+			t.Errorf("class %s: modal phases = %v, want %v", class, got, cn)
+		}
+	}
+}

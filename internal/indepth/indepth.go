@@ -15,7 +15,6 @@ package indepth
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"dcmodel/internal/stats"
 	"dcmodel/internal/trace"
@@ -79,31 +78,17 @@ func Train(tr *trace.Trace) (*Model, error) {
 
 func trainClass(name string, tr *trace.Trace, weight float64) (*ClassModel, error) {
 	// Modal phase sequence.
-	counts := make(map[string]int)
-	seqs := make(map[string][]trace.Subsystem)
+	var paths trace.PathCounter
 	for _, r := range tr.Requests {
-		p := r.Phases()
-		if len(p) == 0 {
-			continue
+		if len(r.Spans) > 0 {
+			paths.Add(r)
 		}
-		key := fmt.Sprint(p)
-		counts[key]++
-		seqs[key] = p
 	}
-	if len(counts) == 0 {
+	ranked := paths.Ranked()
+	if len(ranked) == 0 {
 		return nil, fmt.Errorf("no spans")
 	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	phases := seqs[keys[0]]
+	phases := ranked[0].Phases
 	cm := &ClassModel{Name: name, Weight: weight, Phases: phases}
 	// Per-phase service times from the requests matching the modal path.
 	perPhase := make([][]float64, len(phases))

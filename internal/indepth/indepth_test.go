@@ -184,3 +184,50 @@ func TestArrivalRatePreserved(t *testing.T) {
 		t.Errorf("arrival rate deviation %g", dev)
 	}
 }
+
+// tiedTrace builds one class in which every path occurs n times, the
+// paths interleaved in arrival order.
+func tiedTrace(n int, paths ...[]trace.Subsystem) *trace.Trace {
+	tr := &trace.Trace{}
+	for i := 0; i < n; i++ {
+		for _, p := range paths {
+			id := len(tr.Requests)
+			arrival := float64(id)*0.01 + 0.003*float64(id%3)
+			r := trace.Request{ID: int64(id), Class: "tied", Arrival: arrival}
+			for j, sub := range p {
+				r.Spans = append(r.Spans, trace.Span{
+					Subsystem: sub,
+					Start:     arrival + 0.001*float64(j),
+					Duration:  0.001 * float64(1+id%4),
+				})
+			}
+			tr.Requests = append(tr.Requests, r)
+		}
+	}
+	return tr
+}
+
+// TestModalPathTieBreakBySprintOrder pins the equal-count tie-break: the
+// path whose fmt.Sprint rendering sorts first wins, even where ordering
+// by the subsystems' numeric values would pick the other path.
+func TestModalPathTieBreakBySprintOrder(t *testing.T) {
+	nc := []trace.Subsystem{trace.Network, trace.CPU}
+	cn := []trace.Subsystem{trace.CPU, trace.Network}
+	c := []trace.Subsystem{trace.CPU}
+	for _, tc := range []struct {
+		paths [][]trace.Subsystem
+		want  []trace.Subsystem
+	}{
+		{[][]trace.Subsystem{nc, cn}, cn}, // "[cpu network]" < "[network cpu]"
+		{[][]trace.Subsystem{cn, nc}, cn},
+		{[][]trace.Subsystem{c, cn}, cn}, // "[cpu network]" < "[cpu]"
+	} {
+		m, err := Train(tiedTrace(5, tc.paths...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Classes[0].Phases; !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("paths %v: modal phases = %v, want %v", tc.paths, got, tc.want)
+		}
+	}
+}

@@ -352,3 +352,21 @@ func TestMultiServerInstancing(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainAllocationFence fails if Train allocates per request again: on
+// a 3000-request trace it makes about 1.1k allocations (phase paths are
+// counted under reused byte keys, spans are walked in place and the
+// arrival fit sorts its sample once), against 105k when every request
+// rendered its phase path with fmt.Sprint and copied its spans.
+func TestTrainAllocationFence(t *testing.T) {
+	tr := gfsTrace(t, 3000, 5)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Train(tr, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("kooza.Train: %.0f allocations on %d requests", allocs, tr.Len())
+	if allocs > 2200 {
+		t.Fatalf("kooza.Train made %.0f allocations on %d requests, want <= 2200", allocs, tr.Len())
+	}
+}

@@ -119,7 +119,7 @@ func trainClass(name string, tr *trace.Trace, weight float64, opts Options) (*Cl
 
 	// Time-dependency queues: every retained control-flow path of the
 	// class, modal first.
-	queues, err := phaseQueues(tr)
+	queues, paths, err := phaseQueues(tr)
 	if err != nil {
 		return nil, err
 	}
@@ -155,10 +155,6 @@ func trainClass(name string, tr *trace.Trace, weight float64, opts Options) (*Cl
 	// Network transfer sizes: first and last network span of each request.
 	var inBytes, outBytes []float64
 	// CPU processing amounts per queue, per CPU phase position.
-	queueIdx := make(map[string]int, len(queues))
-	for qi, q := range queues {
-		queueIdx[fmt.Sprint(q.Phases)] = qi
-	}
 	cpuBytes := make([][][]float64, len(queues))
 	for qi, q := range queues {
 		numCPU := 0
@@ -170,19 +166,32 @@ func trainClass(name string, tr *trace.Trace, weight float64, opts Options) (*Cl
 		cpuBytes[qi] = make([][]float64, numCPU)
 	}
 	for _, r := range tr.Requests {
-		nets := r.SpansIn(trace.Network)
-		if len(nets) > 0 {
-			inBytes = append(inBytes, float64(nets[0].Bytes))
-			outBytes = append(outBytes, float64(nets[len(nets)-1].Bytes))
+		first, last := -1, -1
+		for i := range r.Spans {
+			if r.Spans[i].Subsystem == trace.Network {
+				if first < 0 {
+					first = i
+				}
+				last = i
+			}
 		}
-		qi, ok := queueIdx[fmt.Sprint(r.Phases())]
-		if !ok {
+		if first >= 0 {
+			inBytes = append(inBytes, float64(r.Spans[first].Bytes))
+			outBytes = append(outBytes, float64(r.Spans[last].Bytes))
+		}
+		qi, ok := paths.Index(r)
+		if !ok || qi >= len(queues) {
 			continue // below-threshold path; not modeled
 		}
-		for i, s := range r.SpansIn(trace.CPU) {
+		i := 0
+		for _, s := range r.Spans {
+			if s.Subsystem != trace.CPU {
+				continue
+			}
 			if i < len(cpuBytes[qi]) {
 				cpuBytes[qi][i] = append(cpuBytes[qi][i], float64(s.Bytes))
 			}
+			i++
 		}
 	}
 	var e error
@@ -211,49 +220,36 @@ func trainClass(name string, tr *trace.Trace, weight float64, opts Options) (*Cl
 const phaseQueueMinShare = 0.005
 
 // phaseQueues returns the class's retained phase sequences with weights,
-// most frequent first.
-func phaseQueues(tr *trace.Trace) ([]PhaseQueue, error) {
-	counts := make(map[string]int)
-	seqs := make(map[string][]trace.Subsystem)
+// most frequent first, and the counter that maps a request to its path's
+// position in them.
+func phaseQueues(tr *trace.Trace) ([]PhaseQueue, *trace.PathCounter, error) {
+	var paths trace.PathCounter
 	total := 0
 	for _, r := range tr.Requests {
-		p := r.Phases()
-		if len(p) == 0 {
+		if len(r.Spans) == 0 {
 			continue
 		}
-		key := fmt.Sprint(p)
-		counts[key]++
-		seqs[key] = p
+		paths.Add(r)
 		total++
 	}
 	if total == 0 {
-		return nil, fmt.Errorf("time-dependency queue: no spans in class")
+		return nil, nil, fmt.Errorf("time-dependency queue: no spans in class")
 	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
 	var queues []PhaseQueue
 	var kept float64
-	for i, k := range keys {
-		share := float64(counts[k]) / float64(total)
+	for i, p := range paths.Ranked() {
+		share := float64(p.N) / float64(total)
 		if i > 0 && share < phaseQueueMinShare {
 			break
 		}
-		queues = append(queues, PhaseQueue{Phases: seqs[k], Weight: share})
+		queues = append(queues, PhaseQueue{Phases: p.Phases, Weight: share})
 		kept += share
 	}
 	// Renormalize over the retained paths.
 	for i := range queues {
 		queues[i].Weight /= kept
 	}
-	return queues, nil
+	return queues, &paths, nil
 }
 
 func trainStorage(tr *trace.Trace, opts Options) (*StorageModel, error) {
@@ -266,7 +262,10 @@ func trainStorage(tr *trace.Trace, opts Options) (*StorageModel, error) {
 	}
 	var ios []io
 	for _, r := range tr.Requests {
-		for _, s := range r.SpansIn(trace.Storage) {
+		for _, s := range r.Spans {
+			if s.Subsystem != trace.Storage {
+				continue
+			}
 			ios = append(ios, io{start: s.Start, lbn: s.LBN, bytes: s.Bytes, op: s.Op})
 		}
 	}
@@ -369,7 +368,10 @@ func trainStorage(tr *trace.Trace, opts Options) (*StorageModel, error) {
 func trainCPU(tr *trace.Trace, opts Options) (*CPUModel, error) {
 	var utils []float64
 	for _, r := range tr.Requests {
-		for _, s := range r.SpansIn(trace.CPU) {
+		for _, s := range r.Spans {
+			if s.Subsystem != trace.CPU {
+				continue
+			}
 			utils = append(utils, s.Util)
 		}
 	}
@@ -427,7 +429,10 @@ func trainMemory(tr *trace.Trace, opts Options) (*MemoryModel, error) {
 	var accs []access
 	maxBank := 0
 	for _, r := range tr.Requests {
-		for _, s := range r.SpansIn(trace.Memory) {
+		for _, s := range r.Spans {
+			if s.Subsystem != trace.Memory {
+				continue
+			}
 			accs = append(accs, access{start: s.Start, bank: s.Bank, bytes: s.Bytes, op: s.Op})
 			if s.Bank > maxBank {
 				maxBank = s.Bank

@@ -180,16 +180,35 @@ func (c *Chain) Stationary() ([]float64, error) {
 		pi[i] = 1 / float64(c.N)
 	}
 	next := make([]float64, c.N)
+	live := make([]int, 0, c.N)
 	for iter := 0; iter < 100000; iter++ {
 		for j := range next {
 			next[j] = 0
 		}
-		for i := 0; i < c.N; i++ {
-			pii := pi[i]
-			if pii == 0 {
-				continue
+		live = live[:0]
+		for i, pii := range pi {
+			if pii != 0 {
+				live = append(live, i)
 			}
-			row := c.Trans.Row(i)
+		}
+		// The rows with mass, four per pass over next: each next[j] still
+		// sums its terms in ascending row order, so the result is the same
+		// to the bit. A pass per row made every term a load and store of
+		// next[j], and the loop's speed then depended on where the
+		// allocator had placed next.
+		k := 0
+		for ; k+4 <= len(live); k += 4 {
+			i0, i1, i2, i3 := live[k], live[k+1], live[k+2], live[k+3]
+			r0 := c.Trans.Row(i0)
+			r1, r2, r3 := c.Trans.Row(i1)[:len(r0)], c.Trans.Row(i2)[:len(r0)], c.Trans.Row(i3)[:len(r0)]
+			p0, p1, p2, p3 := pi[i0], pi[i1], pi[i2], pi[i3]
+			nx := next[:len(r0)]
+			for j, x := range r0 {
+				nx[j] = nx[j] + p0*x + p1*r1[j] + p2*r2[j] + p3*r3[j]
+			}
+		}
+		for ; k < len(live); k++ {
+			pii, row := pi[live[k]], c.Trans.Row(live[k])
 			for j, p := range row {
 				next[j] += pii * p
 			}

@@ -259,3 +259,71 @@ func TestNumParams(t *testing.T) {
 		t.Errorf("NumParams = %d, want 15", got)
 	}
 }
+
+// stationaryRowByRow is the reference power iteration Stationary must
+// match to the bit: one pass over next per row with mass.
+func stationaryRowByRow(c *Chain) []float64 {
+	pi := make([]float64, c.N)
+	for i := range pi {
+		pi[i] = 1 / float64(c.N)
+	}
+	next := make([]float64, c.N)
+	for iter := 0; iter < 100000; iter++ {
+		for j := range next {
+			next[j] = 0
+		}
+		for i := 0; i < c.N; i++ {
+			if pi[i] == 0 {
+				continue
+			}
+			for j, p := range c.Trans.Row(i) {
+				next[j] += pi[i] * p
+			}
+		}
+		var diff float64
+		for j := range pi {
+			diff += math.Abs(next[j] - pi[j])
+		}
+		copy(pi, next)
+		if diff < 1e-12 {
+			return pi
+		}
+	}
+	return nil
+}
+
+func TestStationaryMatchesRowByRowReference(t *testing.T) {
+	r := rand.New(rand.NewSource(81))
+	for _, n := range []int{1, 3, 4, 7, 32, 33} {
+		for _, zeroCols := range []int{0, n / 3} {
+			m := stats.NewMatrix(n, n)
+			for i := 0; i < n; i++ {
+				var sum float64
+				for j := 0; j < n; j++ {
+					// States below zeroCols are never entered, so their
+					// mass drops to zero and their rows are skipped.
+					if j < zeroCols {
+						continue
+					}
+					v := r.Float64()
+					m.Set(i, j, v)
+					sum += v
+				}
+				for j := 0; j < n; j++ {
+					m.Set(i, j, m.At(i, j)/sum)
+				}
+			}
+			c := &Chain{N: n, Trans: m}
+			got, err := c.Stationary()
+			if err != nil {
+				t.Fatalf("n=%d zeroCols=%d: %v", n, zeroCols, err)
+			}
+			want := stationaryRowByRow(c)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("n=%d zeroCols=%d: pi[%d] = %v, reference %v", n, zeroCols, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}

@@ -402,8 +402,15 @@ func TestFaultArmedDrainNoDrops(t *testing.T) {
 		}(i)
 	}
 
-	// SIGTERM while the armed requests are in flight.
-	time.Sleep(20 * time.Millisecond)
+	// SIGTERM while the armed requests are in flight, once the work queue
+	// has admitted all of them: after a fixed sleep, a client that had not
+	// connected yet could find the listener already closed.
+	for deadline := time.Now().Add(10 * time.Second); s.pool.Depth()+s.pool.Running()+int(s.pool.Completed()) < clients; {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never admitted to the work queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 
 	totalRetried := 0

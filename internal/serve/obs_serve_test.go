@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -95,6 +96,7 @@ func TestObsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status = %d", resp.StatusCode)
@@ -116,11 +118,13 @@ func TestObsLifecycle(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			codes[i] = resp.StatusCode
 			if i%8 == 0 {
 				r2, err := http.Get(ts.URL + "/metrics")
 				if err == nil {
+					io.Copy(io.Discard, r2.Body)
 					r2.Body.Close()
 				}
 				getTraces(t, ts.URL)
@@ -186,16 +190,22 @@ func TestTracesDeterministicSampling(t *testing.T) {
 		defer ts.Close()
 
 		body := traceCSV(t, gfsTrace(t, 200, 7))
+		// Each body is read to its end before the next request: http.Get
+		// returns once the headers arrive, while the handler and the root
+		// span's Finish after it may still be running, and /v1/traces
+		// must see every request's trace finished.
 		resp, err := http.Post(ts.URL+"/v1/ingest", "text/csv", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		for i := 0; i < 8; i++ {
 			resp, err := http.Get(fmt.Sprintf("%s/v1/synthesize?n=50&seed=%d", ts.URL, i+1))
 			if err != nil {
 				t.Fatal(err)
 			}
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("synthesize %d = %d", i, resp.StatusCode)

@@ -140,8 +140,8 @@ func TestSpecClientQuota(t *testing.T) {
 		want    []int
 	}{
 		{10, []float64{1, 1}, []int{5, 5}},
-		{10, []float64{3, 1}, []int{8, 2}},           // 7.5/2.5: equal remainders, lower index wins the leftover
-		{7, []float64{1, 1, 1}, []int{3, 2, 2}},      // 2.33 each; first gets the leftover
+		{10, []float64{3, 1}, []int{8, 2}},               // 7.5/2.5: equal remainders, lower index wins the leftover
+		{7, []float64{1, 1, 1}, []int{3, 2, 2}},          // 2.33 each; first gets the leftover
 		{5, []float64{1000, 1, 1, 1}, []int{2, 1, 1, 1}}, // min-1 floor steals from the max
 		{3, []float64{1, 1, 1}, []int{1, 1, 1}},
 	}

@@ -281,8 +281,8 @@ func scalarOrFlow(s string, num int) (any, error) {
 }
 
 // unquote strips matching single or double quotes, reporting whether the
-// string was quoted. Double quotes honor Go escape sequences; single
-// quotes honor the YAML '' escape.
+// string was quoted. Double quotes honor Go escape sequences; inside
+// single quotes, two single quotes in a row stand for one, as in YAML.
 func unquote(s string) (string, bool) {
 	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
 		if u, err := strconv.Unquote(s); err == nil {

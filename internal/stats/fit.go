@@ -217,6 +217,10 @@ func FitAll(xs []float64) []FitResult {
 		{"gamma", func(v []float64) (Dist, error) { return firstErr(FitGamma(v)) }},
 		{"uniform", func(v []float64) (Dist, error) { return firstErr(FitUniform(v)) }},
 	}
+	// Every family's KS statistic runs on one sorted copy of the sample.
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
 	results := make([]FitResult, 0, len(fitters))
 	for _, f := range fitters {
 		d, err := f.fit(xs)
@@ -224,7 +228,7 @@ func FitAll(xs []float64) []FitResult {
 			results = append(results, FitResult{Err: fmt.Errorf("%s: %w", f.name, err), KS: math.Inf(1)})
 			continue
 		}
-		ks := KSTest(xs, d)
+		ks := ksSorted(sorted, d)
 		results = append(results, FitResult{Dist: d, KS: ks.Statistic, P: ks.P})
 	}
 	sort.SliceStable(results, func(i, j int) bool { return results[i].KS < results[j].KS })
