@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// TestSynthesizeBatchMatchesScalar pins the batch-synthesis determinism
-// contract for all three model families: same seed, SynthesizeBatch emits a
-// trace byte-identical (via the canonical CSV form) to Synthesize, and the
-// RNG streams stay in lockstep afterwards. Run under -race it also guards
-// the read-only-model contract the batch path inherits.
+// TestSynthesizeBatchMatchesScalar pins the deprecated SynthesizeBatch
+// facade alias for all three model families: same seed, it emits a trace
+// byte-identical (via the canonical CSV form) to Synthesize, and the RNG
+// streams stay in lockstep afterwards. The synthesis loop itself is pinned
+// by the "-synth" digests of TestTrainedModelBytesGolden.
 func TestSynthesizeBatchMatchesScalar(t *testing.T) {
 	tr := simulate(t, 1500, 20, 11)
 	for _, a := range []Approach{Kooza, InBreadth, InDepth} {
@@ -44,15 +44,16 @@ func TestSynthesizeBatchMatchesScalar(t *testing.T) {
 				t.Fatal("SynthesizeBatch trace differs from Synthesize at the same seed")
 			}
 			if r1.Float64() != r2.Float64() {
-				t.Fatal("RNG streams diverged after the batch")
+				t.Fatal("RNG streams diverged after SynthesizeBatch")
 			}
 		})
 	}
 }
 
-// TestSynthesizeBatchConcurrent drives concurrent batch syntheses on one
-// shared model under -race: the model must stay read-only on the batch path
-// exactly as on the scalar one.
+// TestSynthesizeBatchConcurrent drives concurrent Synthesize calls (the one
+// synthesis loop, which SynthesizeBatch aliases) on one shared model under
+// -race: the model must stay read-only while slabs of spans are reserved
+// per call.
 func TestSynthesizeBatchConcurrent(t *testing.T) {
 	tr := simulate(t, 1000, 20, 12)
 	for _, a := range []Approach{Kooza, InBreadth, InDepth} {
@@ -66,7 +67,7 @@ func TestSynthesizeBatchConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(seed int64) {
 				defer wg.Done()
-				if _, err := m.SynthesizeBatch(3000, rand.New(rand.NewSource(seed))); err != nil {
+				if _, err := m.Synthesize(3000, rand.New(rand.NewSource(seed))); err != nil {
 					errs <- fmt.Errorf("%v seed %d: %w", a, seed, err)
 				}
 			}(int64(w))
@@ -79,7 +80,7 @@ func TestSynthesizeBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestSynthesizeBatchErrors: the batch path validates like the scalar one.
+// TestSynthesizeBatchErrors: the deprecated alias validates like Synthesize.
 func TestSynthesizeBatchErrors(t *testing.T) {
 	tr := simulate(t, 500, 20, 13)
 	for _, a := range []Approach{Kooza, InBreadth, InDepth} {

@@ -544,25 +544,6 @@ func BenchmarkKoozaSynthesize(b *testing.B) {
 	}
 }
 
-// BenchmarkKoozaSynthesizeBatch is the slab-reserving batch flavor of
-// BenchmarkKoozaSynthesize (same seed, byte-identical output) — the number
-// BENCH_PR7.json tracks against the scalar PR 2 baseline.
-func BenchmarkKoozaSynthesizeBatch(b *testing.B) {
-	tr := benchTrace()
-	m, err := kooza.Train(tr, kooza.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.SynthesizeBatch(1000, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSynthTable2Scale times pure KOOZA synthesis at the scale of the
 // Table 2 validation run (the full 4000-request training-trace length) —
 // the number BENCH_PR2.json tracks for the O(1)-sampler speedup.
@@ -577,25 +558,6 @@ func BenchmarkSynthTable2Scale(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Synthesize(tr.Len(), r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSynthTable2ScaleBatch is the batch flavor of
-// BenchmarkSynthTable2Scale: the path the daemon, the sharded facade and
-// cmd/synth actually run since trace-v2 landed.
-func BenchmarkSynthTable2ScaleBatch(b *testing.B) {
-	tr := benchTrace()
-	m, err := kooza.Train(tr, kooza.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.SynthesizeBatch(tr.Len(), r); err != nil {
 			b.Fatal(err)
 		}
 	}

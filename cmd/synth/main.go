@@ -77,13 +77,11 @@ func main() {
 		}
 	}
 
-	// Bulk generation rides the batch path (byte-identical to scalar
-	// Synthesize at the same seed, sharded or not).
 	var synth *dcmodel.Trace
 	if *shards > 1 {
-		synth, err = dcmodel.SynthesizeSharded(m.SynthesizeBatch, *n, *shards, *workers, *seed)
+		synth, err = dcmodel.SynthesizeSharded(m.Synthesize, *n, *shards, *workers, *seed)
 	} else {
-		synth, err = m.SynthesizeBatch(*n, rand.New(rand.NewSource(*seed)))
+		synth, err = m.Synthesize(*n, rand.New(rand.NewSource(*seed)))
 	}
 	if err != nil {
 		cliflag.Fatal(err)

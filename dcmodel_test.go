@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"dcmodel/internal/core"
 )
 
 // End-to-end integration tests of the public API: the full pipelines the
@@ -152,18 +150,6 @@ func TestTrainAllApproaches(t *testing.T) {
 	}
 	if _, err := TrainInDepth(tr); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCorePackageAliasesKooza(t *testing.T) {
-	tr := simulate(t, 800, 20, 7)
-	m, err := core.Train(tr, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var km *KoozaModel = m // the alias must be the same type
-	if km.TrainedOn != 800 {
-		t.Errorf("core model TrainedOn = %d", km.TrainedOn)
 	}
 }
 

@@ -15,13 +15,18 @@ package dcmodel
 //	TraceRequests(tr, n)        RecordRequests(tr, n, rec) with a TraceRecorder
 //	WhatIf(m, p, q)             BuildTwin(m, p) then tw.WhatIf(q); for
 //	                            sizing searches, Provision(ctx, req)
+//	m.SynthesizeBatch(n, r)     m.Synthesize(n, r)
 //
 // The Train shims return the concrete model types (*KoozaModel, ...);
 // Train returns the common Model interface. Callers that need
 // approach-specific surface can keep the shims or type-assert Train's
 // result.
 
-import "dcmodel/internal/dapper"
+import (
+	"math/rand"
+
+	"dcmodel/internal/dapper"
+)
 
 // SimulateGFS is the pre-RunConfig spelling of Simulate.
 //
@@ -109,4 +114,20 @@ func WhatIf(m Model, p Platform, q WhatIfQuery) (WhatIfAnswer, error) {
 // behavior-identical for existing callers.
 func TraceRequests(tr *Trace, sampleEvery int) (*Tracer, error) {
 	return dapper.TraceWorkload(tr, sampleEvery)
+}
+
+// SynthesizeBatch is the retired bulk flavor of Synthesize: each model
+// family has one synthesis loop, and the alias returns it unchanged.
+//
+// Deprecated: use Synthesize.
+func (m koozaTrained) SynthesizeBatch(n int, r *rand.Rand) (*Trace, error) { return m.Synthesize(n, r) }
+
+// Deprecated: use Synthesize.
+func (m inBreadthTrained) SynthesizeBatch(n int, r *rand.Rand) (*Trace, error) {
+	return m.Synthesize(n, r)
+}
+
+// Deprecated: use Synthesize.
+func (m inDepthTrained) SynthesizeBatch(n int, r *rand.Rand) (*Trace, error) {
+	return m.Synthesize(n, r)
 }

@@ -69,8 +69,8 @@ type Options struct {
 
 // Scores is the measured scorecard of one approach. The JSON field tags
 // are a stable wire contract: the dcmodeld /v1/characterize response, the
-// crossexam -json output and any recorded scorecard artifacts (in the
-// snake_case style of the bench2json records) all share this one encoding.
+// crossexam -json output and any recorded scorecard artifacts all share
+// this one snake_case encoding.
 type Scores struct {
 	Name string `json:"name"`
 	// RequestFeatures is 1 - mean two-sample-KS distance over the

@@ -139,50 +139,8 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 	}
 	st := newWalker(m, r)
 	tr := &trace.Trace{Requests: make([]trace.Request, 0, n)}
-	// The per-request span counts are a model constant, so the span slices
-	// can be carved from an arena instead of growing one heap slice per
-	// request.
-	counts := make([]int, len(assumedOrder))
-	var total int
-	for j, sub := range assumedOrder {
-		counts[j] = int(m.SpansPerRequest[sub] + 0.5)
-		total += counts[j]
-	}
-	var arena trace.SpanArena
-	var now float64
-	for i := 0; i < n; i++ {
-		gap := m.Interarrival.Rand(r)
-		if gap < 0 {
-			gap = 0
-		}
-		now += gap
-		req := trace.Request{ID: int64(i), Class: "all", Arrival: now}
-		req.Spans = arena.Take(total)
-		for j, sub := range assumedOrder {
-			for k := 0; k < counts[j]; k++ {
-				req.Spans = append(req.Spans, st.span(sub, now, r))
-			}
-		}
-		tr.Requests = append(tr.Requests, req)
-	}
-	return tr, nil
-}
-
-// synthSlabRequests mirrors kooza's batch granularity: each span-arena
-// reservation covers this many requests at once.
-const synthSlabRequests = 4096
-
-// SynthesizeBatch is the batch flavor of Synthesize: same draw order, same
-// seed in, byte-identical trace out. The per-request span count is a model
-// constant here, so each arena reservation covers a whole slab of requests
-// exactly, and the Interarrival interface dispatch is hoisted out of the
-// loop.
-func (m *Model) SynthesizeBatch(n int, r *rand.Rand) (*trace.Trace, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("inbreadth: synthesize needs n >= 1, got %d", n)
-	}
-	st := newWalker(m, r)
-	tr := &trace.Trace{Requests: make([]trace.Request, 0, n)}
+	// The per-request span count is a model constant, so each slab
+	// reservation of the span arena covers its requests exactly.
 	counts := make([]int, len(assumedOrder))
 	var total int
 	for j, sub := range assumedOrder {
@@ -193,13 +151,7 @@ func (m *Model) SynthesizeBatch(n int, r *rand.Rand) (*trace.Trace, error) {
 	inter := m.Interarrival
 	var now float64
 	for i := 0; i < n; i++ {
-		if i%synthSlabRequests == 0 {
-			slab := n - i
-			if slab > synthSlabRequests {
-				slab = synthSlabRequests
-			}
-			arena.Reserve(slab * total)
-		}
+		arena.ReserveSlab(i, n, total)
 		gap := inter.Rand(r)
 		if gap < 0 {
 			gap = 0

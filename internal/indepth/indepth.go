@@ -140,7 +140,8 @@ func (m *Model) NumParams() int {
 // fitted service-time distributions, queued through the same per-subsystem
 // FIFO stations the system exhibits (this is a queueing model: request
 // arrival plus contention is exactly what it emulates). Spans carry NO
-// features — the approach does not model them.
+// features — the approach does not model them. Span storage is reserved a
+// slab of requests at a time, sized by the widest class phase path.
 //
 // A trained Model is read-only (the FIFO-station state is per call);
 // concurrent Synthesize calls are safe as long as each call gets its own
@@ -154,83 +155,18 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 	}
 	weights := make([]float64, len(m.Classes))
 	var wsum float64
-	for i, c := range m.Classes {
-		weights[i] = c.Weight
-		wsum += c.Weight
-	}
-	if wsum <= 0 {
-		return nil, fmt.Errorf("indepth: class weights sum to zero")
-	}
-	classAlias, err := stats.NewAlias(weights)
-	if err != nil {
-		return nil, fmt.Errorf("indepth: class weights: %w", err)
-	}
-	tr := &trace.Trace{Requests: make([]trace.Request, 0, n)}
-	var arena trace.SpanArena
-	var now float64
-	var freeAt [4]float64 // per-subsystem FIFO stations
-	for i := 0; i < n; i++ {
-		gap := m.Interarrival.Rand(r)
-		if gap < 0 {
-			gap = 0
-		}
-		now += gap
-		c := m.Classes[classAlias.Draw(r)]
-		req := trace.Request{ID: int64(i), Class: c.Name, Arrival: now}
-		req.Spans = arena.Take(len(c.Phases))
-		t := now
-		for p, sub := range c.Phases {
-			dur := c.Service[p].Rand(r)
-			if dur < 0 {
-				dur = 0
-			}
-			start := t
-			if int(sub) < len(freeAt) && freeAt[sub] > start {
-				start = freeAt[sub]
-			}
-			req.Spans = append(req.Spans, trace.Span{Subsystem: sub, Start: start, Duration: dur})
-			if int(sub) < len(freeAt) {
-				freeAt[sub] = start + dur
-			}
-			t = start + dur
-		}
-		tr.Requests = append(tr.Requests, req)
-	}
-	return tr, nil
-}
-
-// synthSlabRequests mirrors kooza's batch granularity: each span-arena
-// reservation covers this many requests at once.
-const synthSlabRequests = 4096
-
-// SynthesizeBatch is the batch flavor of Synthesize: same draw order, same
-// seed in, byte-identical trace out, with the span arena reserved a slab of
-// requests at a time sized by the widest class phase path.
-func (m *Model) SynthesizeBatch(n int, r *rand.Rand) (*trace.Trace, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("indepth: synthesize needs n >= 1, got %d", n)
-	}
-	if len(m.Classes) == 0 {
-		return nil, fmt.Errorf("indepth: model has no classes")
-	}
-	weights := make([]float64, len(m.Classes))
-	var wsum float64
-	for i, c := range m.Classes {
-		weights[i] = c.Weight
-		wsum += c.Weight
-	}
-	if wsum <= 0 {
-		return nil, fmt.Errorf("indepth: class weights sum to zero")
-	}
-	classAlias, err := stats.NewAlias(weights)
-	if err != nil {
-		return nil, fmt.Errorf("indepth: class weights: %w", err)
-	}
 	maxPhases := 0
-	for _, c := range m.Classes {
-		if len(c.Phases) > maxPhases {
-			maxPhases = len(c.Phases)
-		}
+	for i, c := range m.Classes {
+		weights[i] = c.Weight
+		wsum += c.Weight
+		maxPhases = max(maxPhases, len(c.Phases))
+	}
+	if wsum <= 0 {
+		return nil, fmt.Errorf("indepth: class weights sum to zero")
+	}
+	classAlias, err := stats.NewAlias(weights)
+	if err != nil {
+		return nil, fmt.Errorf("indepth: class weights: %w", err)
 	}
 	tr := &trace.Trace{Requests: make([]trace.Request, 0, n)}
 	var arena trace.SpanArena
@@ -238,13 +174,7 @@ func (m *Model) SynthesizeBatch(n int, r *rand.Rand) (*trace.Trace, error) {
 	var now float64
 	var freeAt [4]float64 // per-subsystem FIFO stations
 	for i := 0; i < n; i++ {
-		if i%synthSlabRequests == 0 {
-			slab := n - i
-			if slab > synthSlabRequests {
-				slab = synthSlabRequests
-			}
-			arena.Reserve(slab * maxPhases)
-		}
+		arena.ReserveSlab(i, n, maxPhases)
 		gap := inter.Rand(r)
 		if gap < 0 {
 			gap = 0

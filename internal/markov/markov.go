@@ -132,23 +132,6 @@ func (c *Chain) Step(state int, r *rand.Rand) int {
 	return sampleIndex(c.Trans.Row(state), r)
 }
 
-// StepN draws len(out) successive states starting after state, writing each
-// visited state to out and returning the final one. It consumes exactly one
-// variate per step in Step's order, so same seed gives a sequence
-// byte-identical to len(out) scalar Step calls — but the frozen path runs
-// the whole walk inside stats.AliasMatrix.WalkN with the table fields
-// hoisted out of the loop.
-func (c *Chain) StepN(state int, r *rand.Rand, out []int) int {
-	if c.rowAlias.Rows() == c.N {
-		return c.rowAlias.WalkN(state, r, out)
-	}
-	for i := range out {
-		state = sampleIndex(c.Trans.Row(state), r)
-		out[i] = state
-	}
-	return state
-}
-
 // Start draws an initial state using r.
 func (c *Chain) Start(r *rand.Rand) int {
 	if !c.initAlias.Empty() {

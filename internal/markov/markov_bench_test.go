@@ -41,25 +41,6 @@ func BenchmarkChainStep(b *testing.B) {
 	}
 }
 
-// BenchmarkChainStepN times the batched walk: per-step cost of StepN over
-// a 1024-step batch, the batch path SynthesizeBatch rides.
-func BenchmarkChainStepN(b *testing.B) {
-	for _, n := range []int{8, 32, 128, 1024} {
-		b.Run(fmt.Sprintf("states=%d", n), func(b *testing.B) {
-			c := benchChain(b, n)
-			r := rand.New(rand.NewSource(2))
-			state := c.Start(r)
-			out := make([]int, 1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += len(out) {
-				state = c.StepN(state, r, out)
-			}
-			_ = state
-		})
-	}
-}
-
 func BenchmarkChainSimulate(b *testing.B) {
 	c := benchChain(b, 32)
 	r := rand.New(rand.NewSource(3))

@@ -324,16 +324,14 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "%v: ingest a trace first", errs.ErrModelNotTrained)
 		return
 	}
-	// The daemon serves bulk traces, so it rides the batch synthesis path
-	// (byte-identical to the scalar one at the same seed).
 	var synthesize func(int, *rand.Rand) (*trace.Trace, error)
 	switch modelName {
 	case "kooza":
-		synthesize = ms.Kooza.SynthesizeBatch
+		synthesize = ms.Kooza.Synthesize
 	case "inbreadth":
-		synthesize = ms.InBreadth.SynthesizeBatch
+		synthesize = ms.InBreadth.Synthesize
 	case "indepth":
-		synthesize = ms.InDepth.SynthesizeBatch
+		synthesize = ms.InDepth.Synthesize
 	default:
 		httpError(w, http.StatusBadRequest, "model must be kooza, inbreadth or indepth, got %q", modelName)
 		return
@@ -437,9 +435,9 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		defer stop()
 		snap := s.win.snapshot()
 		approaches := []crossexam.Approach{
-			{Name: "in-breadth", Knobs: 3, Synthesize: ms.InBreadth.SynthesizeBatch, NumParams: ms.InBreadth.NumParams()},
-			{Name: "in-depth", Knobs: 1, SelfTimed: true, Synthesize: ms.InDepth.SynthesizeBatch, NumParams: ms.InDepth.NumParams()},
-			{Name: "KOOZA", Knobs: 5, Synthesize: ms.Kooza.SynthesizeBatch, NumParams: ms.Kooza.NumParams()},
+			{Name: "in-breadth", Knobs: 3, Synthesize: ms.InBreadth.Synthesize, NumParams: ms.InBreadth.NumParams()},
+			{Name: "in-depth", Knobs: 1, SelfTimed: true, Synthesize: ms.InDepth.Synthesize, NumParams: ms.InDepth.NumParams()},
+			{Name: "KOOZA", Knobs: 5, Synthesize: ms.Kooza.Synthesize, NumParams: ms.Kooza.NumParams()},
 		}
 		// Workers=1: the daemon's parallelism budget belongs to the pool,
 		// not to nested fan-outs inside one job.

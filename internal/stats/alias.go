@@ -151,27 +151,6 @@ func (a *Alias) Draw(r *rand.Rand) int {
 	return a.Sample(r.Float64())
 }
 
-// SampleN fills out with len(out) draws, consuming exactly one variate per
-// draw in the same order as len(out) Draw calls — same seed, byte-identical
-// categories. Batching hoists the table fields out of the per-draw loop, so
-// bulk synthesis pays the method-call and bounds-check overhead once.
-func (a *Alias) SampleN(r *rand.Rand, out []int) {
-	prob, alias := a.prob, a.alias
-	n := float64(len(prob))
-	for k := range out {
-		x := r.Float64() * n
-		i := int(x)
-		if uint(i) >= uint(len(prob)) {
-			i = len(prob) - 1
-		}
-		if x-float64(i) < prob[i] {
-			out[k] = i
-		} else {
-			out[k] = int(alias[i])
-		}
-	}
-}
-
 // AliasMatrix is a bank of equal-width alias tables packed into two flat
 // arrays — the frozen form of a row-stochastic transition matrix. Row draws
 // index straight into the packed arrays, avoiding the per-row slice-header
@@ -243,52 +222,4 @@ func (m *AliasMatrix) Sample(row int, u float64) int {
 // Draw samples a category of the given row using one variate from r.
 func (m *AliasMatrix) Draw(row int, r *rand.Rand) int {
 	return m.Sample(row, r.Float64())
-}
-
-// SampleRowN fills out with len(out) draws from one row, one variate per
-// draw, byte-identical to len(out) Draw(row, r) calls.
-func (m *AliasMatrix) SampleRowN(row int, r *rand.Rand, out []int) {
-	cols := m.cols
-	base := row * cols
-	prob, alias := m.prob[base:base+cols], m.alias[base:base+cols]
-	n := float64(cols)
-	for k := range out {
-		x := r.Float64() * n
-		i := int(x)
-		if uint(i) >= uint(cols) {
-			i = cols - 1
-		}
-		if x-float64(i) < prob[i] {
-			out[k] = i
-		} else {
-			out[k] = int(alias[i])
-		}
-	}
-}
-
-// WalkN chains len(out) row draws — each draw's category selects the next
-// row — writing every visited state to out and returning the final state.
-// It consumes one variate per step in the same order as the equivalent
-// Draw(state, r) loop, so a frozen Markov chain batched through WalkN stays
-// byte-identical to its scalar realization. The matrix must be square
-// (rows == cols), as every frozen transition matrix is.
-func (m *AliasMatrix) WalkN(state int, r *rand.Rand, out []int) int {
-	cols := m.cols
-	prob, alias := m.prob, m.alias
-	n := float64(cols)
-	for k := range out {
-		base := state * cols
-		x := r.Float64() * n
-		i := int(x)
-		if uint(i) >= uint(cols) {
-			i = cols - 1
-		}
-		if x-float64(i) < prob[base+i] {
-			state = i
-		} else {
-			state = int(alias[base+i])
-		}
-		out[k] = state
-	}
-	return state
 }

@@ -15,19 +15,36 @@ type SpanArena struct {
 // (~100 KB) that an abandoned tail wastes little.
 const arenaChunkSpans = 1024
 
-// Take returns an empty span slice with capacity exactly n, carved from
-// the arena. The capacity is capped with a three-index slice, so a caller
-// that appends beyond n gets a private reallocated slice instead of
-// clobbering the next request's spans.
 // Reserve sizes the arena so the next n spans' worth of Take calls carve
 // from one contiguous chunk with no further allocation. Batch producers
-// (SynthesizeBatch, the trace-v2 block decoder) call it once per batch.
+// (the synthesis loops through ReserveSlab, the trace-v2 block decoder)
+// call it once per batch.
 func (a *SpanArena) Reserve(n int) {
 	if n > cap(a.chunk)-len(a.chunk) {
 		a.chunk = make([]Span, 0, n)
 	}
 }
 
+// synthSlabRequests is the granularity of a synthesis loop's span
+// reservations: one contiguous reservation covers this many requests'
+// spans, bounding both allocation count and the memory held per slab.
+const synthSlabRequests = 4096
+
+// ReserveSlab is the synthesis loops' reservation policy. Called before
+// request i of an n-request synthesis whose requests take at most maxSpans
+// spans each, it reserves the spans of the slab request i opens (the last
+// slab may be partial) and does nothing for requests inside a slab.
+func (a *SpanArena) ReserveSlab(i, n, maxSpans int) {
+	if i%synthSlabRequests != 0 {
+		return
+	}
+	a.Reserve(min(n-i, synthSlabRequests) * maxSpans)
+}
+
+// Take returns an empty span slice with capacity exactly n, carved from
+// the arena. The capacity is capped with a three-index slice, so a caller
+// that appends beyond n gets a private reallocated slice instead of
+// clobbering the next request's spans.
 func (a *SpanArena) Take(n int) []Span {
 	if n <= 0 {
 		return nil

@@ -58,3 +58,28 @@ func TestSpanArenaChunkRollover(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanArenaReserveSlab checks the synthesis reservation policy: each
+// slab of requests gets one reservation of slab × maxSpans spans (the last
+// slab is partial), and Take never allocates inside a slab.
+func TestSpanArenaReserveSlab(t *testing.T) {
+	const maxSpans = 3
+	n := synthSlabRequests + 10
+	var a SpanArena
+	for i := 0; i < n; i++ {
+		before := cap(a.chunk)
+		a.ReserveSlab(i, n, maxSpans)
+		if i%synthSlabRequests == 0 {
+			if want := maxSpans * min(n-i, synthSlabRequests); cap(a.chunk) != want {
+				t.Fatalf("request %d: reserved %d spans, want %d", i, cap(a.chunk), want)
+			}
+		} else if cap(a.chunk) != before {
+			t.Fatalf("request %d: reserved inside a slab", i)
+		}
+		reserved := cap(a.chunk)
+		a.Take(maxSpans)
+		if cap(a.chunk) != reserved {
+			t.Fatalf("request %d: Take allocated inside a slab", i)
+		}
+	}
+}

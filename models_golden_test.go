@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,6 +24,10 @@ var updateModels = flag.Bool("update-models", false, "regenerate testdata/models
 // TestTrainedModelBytesGolden pins the serialized bytes of every trained
 // model family on the Table 2 mix and the six spec presets: any change to
 // training that alters a model, even in its last bit, changes a digest.
+// Each model's synthesized trace is pinned the same way (the "-synth"
+// lines), so a synthesis change that alters a single draw changes a digest
+// too; the request count is not slab-aligned, so the final partial span
+// reservation is covered.
 // Regenerate with `go test -run TestTrainedModelBytesGolden -update-models .`
 // only when a model change is intended.
 func TestTrainedModelBytesGolden(t *testing.T) {
@@ -62,22 +67,35 @@ func TestTrainedModelBytesGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%s %s %x\n", in, model, sha256.Sum256(buf.Bytes()))
 	}
+	const synthN = 2*4096 + 1234
+	synthDigest := func(in, model string, synthesize func(int, *rand.Rand) (*trace.Trace, error)) {
+		digest(in, model+"-synth", func(w io.Writer) error {
+			tr, err := synthesize(synthN, rand.New(rand.NewSource(5)))
+			if err != nil {
+				return err
+			}
+			return trace.WriteCSV(w, tr)
+		})
+	}
 	for _, in := range inputs {
 		km, err := kooza.Train(in.tr, kooza.Options{})
 		if err != nil {
 			t.Fatalf("%s: kooza: %v", in.name, err)
 		}
 		digest(in.name, "kooza", func(w io.Writer) error { return kooza.Save(w, km) })
+		synthDigest(in.name, "kooza", km.Synthesize)
 		bm, err := inbreadth.Train(in.tr, inbreadth.Options{})
 		if err != nil {
 			t.Fatalf("%s: inbreadth: %v", in.name, err)
 		}
 		digest(in.name, "inbreadth", func(w io.Writer) error { return inbreadth.Save(w, bm) })
+		synthDigest(in.name, "inbreadth", bm.Synthesize)
 		dm, err := indepth.Train(in.tr)
 		if err != nil {
 			t.Fatalf("%s: indepth: %v", in.name, err)
 		}
 		digest(in.name, "indepth", func(w io.Writer) error { return indepth.Save(w, dm) })
+		synthDigest(in.name, "indepth", dm.Synthesize)
 	}
 
 	path := filepath.Join("testdata", "models.golden")

@@ -75,10 +75,9 @@ type Model interface {
 	Approach() Approach
 	// Synthesize generates n synthetic requests using r.
 	Synthesize(n int, r *rand.Rand) (*Trace, error)
-	// SynthesizeBatch is the bulk-generation flavor of Synthesize: same
-	// seed, byte-identical trace, but span storage is reserved a slab of
-	// requests at a time, so large n amortizes the per-request arena
-	// bookkeeping. The daemon and the sharded synthesizer ride this path.
+	// SynthesizeBatch returns Synthesize(n, r).
+	//
+	// Deprecated: use Synthesize, which is the one synthesis loop.
 	SynthesizeBatch(n int, r *rand.Rand) (*Trace, error)
 	// Characterize renders the model's learned structure as text.
 	Characterize() string
