@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race race chaos obs spec cluster whatif provision cover cover-spec bench fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
+.PHONY: all build vet fmt-check test test-race race chaos obs spec cluster whatif provision cover cover-spec bench fuzz fuzz-smoke perfbench-check vulncheck examples artifacts serve loadtest clean help
 
 all: build vet test
 
@@ -38,8 +38,11 @@ help:
 	@echo "  cover      go test -cover ./... + the internal/spec coverage floor"
 	@echo "  cover-spec enforce the $(SPEC_COVER_FLOOR)% statement-coverage floor on internal/spec"
 	@echo "  bench      regenerate every table/figure + ablations (-bench=. -benchmem)"
-	@echo "  fuzz       run the codec, sharded-simulator and spec fuzz targets (30s each)"
+	@echo "  fuzz       run the codec, sharded-simulator, spec and cluster-model"
+	@echo "             decoder fuzz targets (30s each)"
 	@echo "  fuzz-smoke quick CI fuzz pass over the same targets (10s each)"
+	@echo "  perfbench-check  vet + test the nested perfbench module, which"
+	@echo "             go build ./... does not reach"
 	@echo "  vulncheck  govulncheck over the whole module (installed on demand)"
 	@echo "  examples   run every example program"
 	@echo "  artifacts  record test + bench output to *_output.txt"
@@ -152,10 +155,20 @@ fuzz:
 	$(GO) test -fuzz=FuzzSpanReader -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzSpecParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/spec/
 	$(GO) test -fuzz=FuzzSpecRoundTrip -fuzztime=$(FUZZTIME) -run '^$$' ./internal/spec/
+	$(GO) test -fuzz=FuzzUnmarshalModel -fuzztime=$(FUZZTIME) -run '^$$' ./internal/cluster/
+	$(GO) test -fuzz=FuzzUnmarshalAccumulator -fuzztime=$(FUZZTIME) -run '^$$' ./internal/markov/
 
 # The CI smoke pass: same targets, 10 seconds each.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
+
+# perfbench is a nested module (its own go.mod), so ./... at the root
+# never compiles it; a facade change that breaks the benchmark shows up
+# here instead of in the benchmark run. Offline and read-only: the module
+# has no dependencies beyond the repo itself.
+perfbench-check:
+	cd perfbench && export GOPROXY=off GOFLAGS=-mod=readonly GOWORK=off && \
+		$(GO) vet ./... && $(GO) test ./...
 
 # Known-vulnerability scan over the module and its (stdlib-only)
 # dependency graph. Installs govulncheck on demand; CI runs this on every

@@ -5,7 +5,7 @@
 //
 // The toolkit provides:
 //
-//   - A GFS-like application simulator (SimulateGFS) that generates
+//   - A GFS-like application simulator (Simulate) that generates
 //     ground-truth workload traces with the paper's Figure 1 request
 //     structure: network -> CPU -> memory -> storage -> CPU -> network.
 //   - Three trainable workload models: the in-breadth approach (four

@@ -118,6 +118,12 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newModel(cfg, make(map[string]int64), phase, storage), nil
+}
+
+// newModel assembles a model around existing class counts and
+// accumulators; cfg must already be defaulted and valid.
+func newModel(cfg ModelConfig, classes map[string]int64, phase, storage *markov.Accumulator) *Model {
 	bpr := cfg.DiskBlocks / int64(cfg.StorageRegions)
 	if bpr < 1 {
 		bpr = 1
@@ -125,10 +131,10 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 	return &Model{
 		cfg:             cfg,
 		blocksPerRegion: bpr,
-		classes:         make(map[string]int64),
+		classes:         classes,
 		phase:           phase,
 		storage:         storage,
-	}, nil
+	}
 }
 
 // Config returns the model's (defaulted) quantization config.
@@ -350,7 +356,9 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalModel reconstructs a Model from MarshalBinary output. Defects
-// are errors, never panics.
+// are errors, never panics. The model is assembled only after its
+// accumulators decode, so what it allocates is bounded by len(data), not
+// by the region count the header claims.
 func UnmarshalModel(data []byte) (*Model, error) {
 	r := byteReader{data: data}
 	magic, err := r.bytes(len(modelMagic))
@@ -382,25 +390,22 @@ func UnmarshalModel(data []byte) (*Model, error) {
 		!(cfg.Smoothing >= 0) || math.IsInf(cfg.Smoothing, 0) {
 		return nil, fmt.Errorf("cluster: model config %+v invalid: %w", cfg, errs.ErrBadConfig)
 	}
-	m, err := NewModel(cfg)
-	if err != nil {
-		return nil, err
-	}
+	cfg = cfg.withDefaults()
 	reqs, err := r.u64()
 	if err != nil {
 		return nil, err
 	}
-	m.requests = int64(reqs)
-	if m.requests < 0 {
+	requests := int64(reqs)
+	if requests < 0 {
 		return nil, fmt.Errorf("cluster: model request count overflows")
 	}
 	arrBits, err := r.u64()
 	if err != nil {
 		return nil, err
 	}
-	m.maxArrival = math.Float64frombits(arrBits)
-	if math.IsNaN(m.maxArrival) || m.maxArrival < 0 {
-		return nil, fmt.Errorf("cluster: model arrival horizon %g invalid", m.maxArrival)
+	maxArrival := math.Float64frombits(arrBits)
+	if math.IsNaN(maxArrival) || maxArrival < 0 {
+		return nil, fmt.Errorf("cluster: model arrival horizon %g invalid", maxArrival)
 	}
 
 	nClasses, err := r.u32()
@@ -410,6 +415,7 @@ func UnmarshalModel(data []byte) (*Model, error) {
 	if nClasses > maxModelClasses {
 		return nil, fmt.Errorf("cluster: model has %d classes, max %d", nClasses, maxModelClasses)
 	}
+	classes := make(map[string]int64)
 	for i := uint32(0); i < nClasses; i++ {
 		nameLen, err := r.u32()
 		if err != nil {
@@ -426,10 +432,11 @@ func UnmarshalModel(data []byte) (*Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.classes[string(name)] = int64(count)
+		classes[string(name)] = int64(count)
 	}
 
-	for _, dst := range []**markov.Accumulator{&m.phase, &m.storage} {
+	var phase, storage *markov.Accumulator
+	for _, dst := range []**markov.Accumulator{&phase, &storage} {
 		blobLen, err := r.u32()
 		if err != nil {
 			return nil, err
@@ -445,9 +452,11 @@ func UnmarshalModel(data []byte) (*Model, error) {
 			return nil, err
 		}
 	}
-	if m.phase.N() != numSubsystems || m.storage.N() != cfg.StorageRegions {
+	if phase.N() != numSubsystems || storage.N() != cfg.StorageRegions {
 		return nil, fmt.Errorf("cluster: embedded accumulator dimensions disagree with the model config")
 	}
+	m := newModel(cfg, classes, phase, storage)
+	m.requests, m.maxArrival = requests, maxArrival
 
 	readCounts := func(counts []int64) error {
 		for i := range counts {

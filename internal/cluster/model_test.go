@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dcmodel/internal/spec"
@@ -10,7 +13,7 @@ import (
 )
 
 // testTrace generates a deterministic preset workload trace.
-func testTrace(t *testing.T, requests int, seed int64) *trace.Trace {
+func testTrace(t testing.TB, requests int, seed int64) *trace.Trace {
 	t.Helper()
 	sp, err := spec.Resolve("webtier")
 	if err != nil {
@@ -155,6 +158,33 @@ func TestUnmarshalModelRejectsCorruption(t *testing.T) {
 		if _, err := UnmarshalModel(data); err == nil {
 			t.Errorf("%s blob accepted", name)
 		}
+	}
+}
+
+// TestUnmarshalModelHeaderOnlyIsCheap: a 25-byte header that claims the
+// maximum region count and carries no body must fail without allocating
+// the 4096x4096 storage accumulator that count implies (128 MiB). What the
+// decoder allocates is bounded by the blob, which arrives from other
+// cluster nodes.
+func TestUnmarshalModelHeaderOnlyIsCheap(t *testing.T) {
+	blob := append([]byte(modelMagic), modelVersion)
+	blob = binary.LittleEndian.AppendUint32(blob, 1<<12)
+	blob = binary.LittleEndian.AppendUint64(blob, 1<<20)
+	blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(0.01))
+	if len(blob) != 25 {
+		t.Fatalf("header is %d bytes, want 25", len(blob))
+	}
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := UnmarshalModel(blob); err == nil {
+			t.Fatal("header-only blob accepted")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 1<<20 {
+		t.Fatalf("decoding a 25-byte blob allocated %d bytes, want < 1 MiB", perRun)
 	}
 }
 

@@ -125,22 +125,6 @@ type CPUModel struct {
 // NumParams reports the model complexity.
 func (m *CPUModel) NumParams() int { return m.Chain.NumParams() + 2 }
 
-// stateOf quantizes a utilization into a level.
-func (m *CPUModel) stateOf(util float64) int {
-	n := m.Chain.N
-	if m.Hi <= m.Lo {
-		return 0
-	}
-	s := int(float64(n) * (util - m.Lo) / (m.Hi - m.Lo))
-	if s < 0 {
-		return 0
-	}
-	if s >= n {
-		return n - 1
-	}
-	return s
-}
-
 // MemoryModel is the memory Markov model: a chain over DRAM banks with the
 // access size/type mix.
 type MemoryModel struct {

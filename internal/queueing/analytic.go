@@ -3,8 +3,8 @@
 // It provides the analytic models (M/M/1, M/M/c, M/G/1, open Jackson
 // networks) and the discrete-event multi-station simulator that the
 // in-depth modeling literature builds on (Liu et al.'s 3-tier model,
-// Meisner et al.'s SQS), a simplified layered-queueing-network solver
-// (Franks et al.), and a PI admission controller (Kamra et al.'s Yaksha).
+// Meisner et al.'s SQS), and a PI admission controller (Kamra et al.'s
+// Yaksha).
 // KOOZA's network model reuses the same machinery for its arrival-rate
 // queue.
 package queueing

@@ -63,16 +63,6 @@ func TestBadConfigSentinel(t *testing.T) {
 			_, err := n.Solve()
 			return err
 		}},
-		{"lqn nan lambda", func() error {
-			l := &LQN{Tasks: []LQNTask{{Name: "t", Demand: 0.1, Servers: 1}}, Lambda: nan}
-			_, err := l.Solve()
-			return err
-		}},
-		{"lqn negative demand", func() error {
-			l := &LQN{Tasks: []LQNTask{{Name: "t", Demand: -0.1, Servers: 1}}, Lambda: 1}
-			_, err := l.Solve()
-			return err
-		}},
 		{"controller nan target", func() error { _, err := NewPIController(0.1, 0.1, nan); return err }},
 	}
 	for _, tc := range cases {

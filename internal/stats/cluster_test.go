@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -95,70 +94,5 @@ func TestKMeansDuplicatePoints(t *testing.T) {
 	}
 	if res.Inertia != 0 {
 		t.Errorf("identical-points inertia = %g, want 0", res.Inertia)
-	}
-}
-
-func TestFitGMMRecoversComponents(t *testing.T) {
-	r := rand.New(rand.NewSource(74))
-	data, truth := threeBlobs(900, r)
-	g, err := FitGMM(data, 3, r, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, Sum(g.Weights), 1, 1e-9, "weights sum to 1")
-	// Predictions should recover the blobs (up to label permutation).
-	var confusion [3][3]int
-	for i := 0; i < data.Rows; i++ {
-		confusion[truth[i]][g.Predict(data.Row(i))]++
-	}
-	var correct int
-	for tr := 0; tr < 3; tr++ {
-		best := 0
-		for c := 0; c < 3; c++ {
-			if confusion[tr][c] > best {
-				best = confusion[tr][c]
-			}
-		}
-		correct += best
-	}
-	if purity := float64(correct) / 900; purity < 0.99 {
-		t.Errorf("GMM purity = %g, want > 0.99", purity)
-	}
-	if math.IsNaN(g.LogLik) || math.IsInf(g.LogLik, 0) {
-		t.Errorf("log-likelihood = %g", g.LogLik)
-	}
-}
-
-func TestGMMSampleMatchesMixture(t *testing.T) {
-	r := rand.New(rand.NewSource(75))
-	data, _ := threeBlobs(900, r)
-	g, err := FitGMM(data, 3, r, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sampled points should classify to components in weight proportions.
-	counts := make([]float64, 3)
-	const n = 6000
-	for i := 0; i < n; i++ {
-		x := g.Sample(r)
-		counts[g.Predict(x)]++
-	}
-	for c := range counts {
-		approx(t, counts[c]/n, g.Weights[c], 0.03, "sampled component frequency")
-	}
-}
-
-func TestFitGMMErrors(t *testing.T) {
-	r := rand.New(rand.NewSource(76))
-	if _, err := FitGMM(NewMatrix(2, 2), 5, r, 10); err == nil {
-		t.Error("n<k GMM should fail")
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	approx(t, logSumExp([]float64{0, 0}), math.Log(2), 1e-12, "lse of equal logs")
-	approx(t, logSumExp([]float64{-1000, -1000}), -1000+math.Log(2), 1e-9, "lse underflow safety")
-	if !math.IsInf(logSumExp([]float64{math.Inf(-1)}), -1) {
-		t.Error("lse of -inf should be -inf")
 	}
 }

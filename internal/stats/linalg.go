@@ -6,10 +6,9 @@ import (
 	"sort"
 )
 
-// Minimal dense linear algebra needed by PCA, regression and the queueing
-// solvers: a row-major matrix, multiplication, a symmetric eigen-solver
-// (cyclic Jacobi) and a linear-system solver (Gaussian elimination with
-// partial pivoting).
+// Minimal dense linear algebra needed by PCA and the queueing solvers: a
+// row-major matrix, a symmetric eigen-solver (cyclic Jacobi) and a
+// linear-system solver (Gaussian elimination with partial pivoting).
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -55,40 +54,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// T returns the transpose of m.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m * other. The inner dimensions must agree.
-func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
-	if m.Cols != other.Rows {
-		return nil, fmt.Errorf("stats: matmul dimension mismatch %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols)
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mi[k]
-			if a == 0 {
-				continue
-			}
-			ok := other.Row(k)
-			for j := range oi {
-				oi[j] += a * ok[j]
-			}
-		}
-	}
-	return out, nil
 }
 
 // MulVec returns m * v for a vector v of length m.Cols.

@@ -23,10 +23,6 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 0) == 100 {
 		t.Error("Clone should be independent")
 	}
-	tr := m.T()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(1, 0) != 5 {
-		t.Error("transpose wrong")
-	}
 }
 
 func TestMatrixFrom(t *testing.T) {
@@ -42,26 +38,6 @@ func TestMatrixFrom(t *testing.T) {
 	}
 	if _, err := MatrixFrom(nil); err == nil {
 		t.Error("empty input should fail")
-	}
-}
-
-func TestMatrixMul(t *testing.T) {
-	a, _ := MatrixFrom([][]float64{{1, 2}, {3, 4}})
-	b, _ := MatrixFrom([][]float64{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Errorf("c[%d][%d] = %g, want %g", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-	if _, err := a.Mul(NewMatrix(3, 3)); err == nil {
-		t.Error("dimension mismatch should fail")
 	}
 }
 

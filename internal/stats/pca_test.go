@@ -130,73 +130,3 @@ func TestPCAErrors(t *testing.T) {
 		t.Error("too many components in inverse should fail")
 	}
 }
-
-func TestFitLinear(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{3, 5, 7, 9, 11} // y = 1 + 2x
-	fit, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, fit.Slope, 2, 1e-10, "slope")
-	approx(t, fit.Intercept, 1, 1e-10, "intercept")
-	approx(t, fit.R2, 1, 1e-10, "R2")
-	approx(t, fit.Predict(10), 21, 1e-10, "predict")
-	if _, err := FitLinear(x, y[:3]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := FitLinear([]float64{1}, []float64{2}); err == nil {
-		t.Error("short fit should fail")
-	}
-}
-
-func TestFitLinearNoisy(t *testing.T) {
-	r := rand.New(rand.NewSource(64))
-	n := 5000
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = r.Float64() * 10
-		y[i] = 4 - 3*x[i] + r.NormFloat64()
-	}
-	fit, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, fit.Slope, -3, 0.05, "noisy slope")
-	approx(t, fit.Intercept, 4, 0.1, "noisy intercept")
-	if fit.R2 < 0.9 {
-		t.Errorf("R2 = %g, want > 0.9", fit.R2)
-	}
-}
-
-func TestFitMultiLinear(t *testing.T) {
-	r := rand.New(rand.NewSource(65))
-	n := 2000
-	x := NewMatrix(n, 3)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
-		y[i] = 2 + 1*row[0] - 2*row[1] + 0.5*row[2] + r.NormFloat64()*0.1
-	}
-	fit, err := FitMultiLinear(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 1, -2, 0.5}
-	for i, w := range want {
-		approx(t, fit.Coef[i], w, 0.02, "multi coef")
-	}
-	if fit.R2 < 0.99 {
-		t.Errorf("R2 = %g, want > 0.99", fit.R2)
-	}
-	if _, err := FitMultiLinear(x, y[:5]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := FitMultiLinear(NewMatrix(2, 3), []float64{1, 2}); err == nil {
-		t.Error("underdetermined fit should fail")
-	}
-}

@@ -2,12 +2,11 @@
 //
 // It provides, from scratch and on top of the standard library only, the
 // statistical machinery that the datacenter workload-modeling literature
-// reviewed by the paper relies on: descriptive statistics, histograms and
-// empirical CDFs, a family of parametric distributions with maximum-
-// likelihood fitting, goodness-of-fit tests (Kolmogorov-Smirnov,
-// chi-square), time-series analysis (autocorrelation, burstiness,
-// self-similarity via Hurst-exponent estimation), dimensionality reduction
-// (PCA), regression, and clustering (k-means and Gaussian-mixture EM).
+// reviewed by the paper relies on: descriptive statistics, a family of
+// parametric and empirical distributions with maximum-likelihood fitting,
+// goodness-of-fit tests (Kolmogorov-Smirnov, chi-square), time-series
+// analysis (burstiness, self-similarity via Hurst-exponent estimation),
+// dimensionality reduction (PCA), and clustering (k-means).
 package stats
 
 import (

@@ -6,63 +6,6 @@ import (
 	"testing"
 )
 
-func TestACFWhiteNoise(t *testing.T) {
-	r := rand.New(rand.NewSource(40))
-	xs := Sample(Normal{Mu: 0, Sigma: 1}, 5000, r)
-	acf := ACF(xs, 10)
-	approx(t, acf[0], 1, 1e-12, "acf lag 0")
-	for lag := 1; lag <= 10; lag++ {
-		if math.Abs(acf[lag]) > 0.05 {
-			t.Errorf("white-noise ACF at lag %d = %g, want ~0", lag, acf[lag])
-		}
-	}
-}
-
-func TestACFAR1(t *testing.T) {
-	// AR(1) with phi=0.8 has ACF(k) = 0.8^k.
-	r := rand.New(rand.NewSource(41))
-	const phi = 0.8
-	xs := make([]float64, 50000)
-	for i := 1; i < len(xs); i++ {
-		xs[i] = phi*xs[i-1] + r.NormFloat64()
-	}
-	acf := ACF(xs, 5)
-	for lag := 1; lag <= 5; lag++ {
-		want := math.Pow(phi, float64(lag))
-		approx(t, acf[lag], want, 0.03, "AR(1) ACF")
-	}
-}
-
-func TestACFEdgeCases(t *testing.T) {
-	if acf := ACF(nil, 3); len(acf) != 4 || acf[0] != 0 {
-		t.Error("ACF of empty series should be zeros of length maxLag+1")
-	}
-	constant := ACF([]float64{2, 2, 2, 2}, 2)
-	if constant[0] != 1 || constant[1] != 0 {
-		t.Error("ACF of constant series should be [1 0 0]")
-	}
-}
-
-func TestLjungBox(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	white := Sample(Normal{Mu: 0, Sigma: 1}, 2000, r)
-	_, p := LjungBox(white, 10)
-	if p < 0.01 {
-		t.Errorf("Ljung-Box rejected white noise: p=%g", p)
-	}
-	ar := make([]float64, 2000)
-	for i := 1; i < len(ar); i++ {
-		ar[i] = 0.7*ar[i-1] + r.NormFloat64()
-	}
-	_, p = LjungBox(ar, 10)
-	if p > 0.001 {
-		t.Errorf("Ljung-Box failed to reject AR(1): p=%g", p)
-	}
-	if _, p := LjungBox([]float64{1, 2}, 5); p != 1 {
-		t.Error("short Ljung-Box should return p=1")
-	}
-}
-
 func poissonArrivals(rate float64, n int, r *rand.Rand) []float64 {
 	arr := make([]float64, n)
 	var t float64

@@ -1,8 +1,6 @@
 // Package workload generates synthetic request streams: arrival processes
-// (Poisson, Markov-modulated Poisson, self-similar ON/OFF superposition),
-// request-class mixes, and the session-based web (SURGE-like, Barford &
-// Crovella) and streaming-media (MediSyn-like, Tang et al.) generators the
-// network-modeling literature compares against.
+// (Poisson, Markov-modulated Poisson, self-similar ON/OFF superposition)
+// and request-class mixes.
 package workload
 
 import (

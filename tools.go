@@ -17,8 +17,6 @@ import (
 
 // Tracing (Dapper) re-exports.
 type (
-	// Tracer collects sampled request trace trees.
-	Tracer = dapper.Tracer
 	// TraceTree is one request's assembled span tree.
 	TraceTree = dapper.Tree
 	// TraceRecorder receives finished span trees — the single tracing seam

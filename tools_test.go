@@ -7,18 +7,15 @@ import (
 
 func TestTraceRequestsFacade(t *testing.T) {
 	tr := simulate(t, 1000, 20, 20)
-	tracer, err := TraceRequests(tr, 100)
+	var c TraceCollector
+	started, sampled, err := RecordRequests(tr, 100, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	started, sampled := tracer.SamplingStats()
 	if started != 1000 || sampled != 10 {
 		t.Errorf("sampling %d/%d", started, sampled)
 	}
-	trees, err := tracer.Trees()
-	if err != nil {
-		t.Fatal(err)
-	}
+	trees := c.Trees()
 	if len(trees) != 10 {
 		t.Errorf("trees = %d", len(trees))
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -38,31 +37,6 @@ func TestBuildTwinAllApproaches(t *testing.T) {
 		if ans.MeanResponseSeconds < tw.TotalDemand() {
 			t.Errorf("%s: response %g below demand floor %g", a, ans.MeanResponseSeconds, tw.TotalDemand())
 		}
-	}
-}
-
-// TestWhatIfOneShot: the convenience wrapper equals BuildTwin + WhatIf.
-func TestWhatIfOneShot(t *testing.T) {
-	tr := simulate(t, 1200, 20, 62)
-	m, err := Train(tr, Kooza)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := WhatIfQuery{LoadFactor: 2}
-	direct, err := WhatIf(m, DefaultPlatform(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, err := BuildTwin(m, DefaultPlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaTwin, err := tw.WhatIf(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, viaTwin) {
-		t.Fatalf("one-shot diverged: %+v vs %+v", direct, viaTwin)
 	}
 }
 
